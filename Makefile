@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-baseline bench-cold bench-serve bench-scaling cache-stats table1 smoke-obs smoke-serve
+.PHONY: test bench bench-baseline bench-cold bench-serve cache-stats table1 smoke-obs smoke-serve
 
 test:
 	$(PYTHON) -m pytest -q
@@ -28,11 +28,6 @@ bench:
 # Closed-loop HTTP load test of the screening service on its own.
 bench-serve:
 	$(PYTHON) benchmarks/bench_serve.py --min-throughput 5000
-
-# Population-size scaling of the Monte Carlo engines (report only, not
-# gated): wall-clock loop vs batched at growing n_mc with the speedup.
-bench-scaling:
-	$(PYTHON) benchmarks/bench_scaling.py
 
 # Regenerate the committed baseline (run on the reference machine only).
 bench-baseline:

@@ -8,7 +8,7 @@ regressions in any one algorithm are visible in isolation:
 * MARS fit on the 100-device Monte Carlo data;
 * KMM weight computation (100 train x 120 test);
 * full silicon-measurement campaign for one device;
-* the 100-device Monte Carlo run through the batched population engine;
+* the 100-device Monte Carlo run through the population engine;
 * vectorized AES-128 on a (2048 devices x 6 blocks) uint8 batch;
 * batched B1..B5 classification of 2048 devices (the serving hot path).
 """
@@ -70,12 +70,12 @@ def test_device_measurement(benchmark):
 
 
 def test_mc_run_batched(benchmark):
-    """The batched population engine at the gated fixture size."""
+    """The population engine at the gated fixture size."""
     deck = default_spice_deck()
     campaign = FingerprintCampaign.random_stimuli(nm=6, seed=0, noisy_bench=False)
     engine = MonteCarloEngine(deck, campaign, numerical_noise=0.0015)
 
-    result = benchmark(lambda: engine.run(100, seed=0, engine="batched"))
+    result = benchmark(lambda: engine.run(100, seed=0))
     assert result.pcms.shape[0] == 100
     assert result.fingerprints.shape == (100, 6)
 

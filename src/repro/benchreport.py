@@ -10,10 +10,8 @@ run uses and writes them to a JSON report:
 * ``mars_fit`` — the PCM -> fingerprint regressions;
 * ``mars_forward`` — the MARS forward pass alone (400 x 6 problem);
 * ``kmm_weights`` — kernel mean matching (100 train x 120 test);
-* ``mc_run`` — the 100-device Monte Carlo simulation (loop reference
-  engine, one die at a time);
-* ``mc_run_batched`` — the same simulation through the batched population
-  engine (bit-identical output, array programs over the device axis);
+* ``mc_run_batched`` — the 100-device Monte Carlo simulation through the
+  population engine (array programs over the device axis);
 * ``aes_batch`` — vectorized AES-128 over a (2048 devices x 6 blocks)
   uint8 batch;
 * ``table1`` — the end-to-end three-stage pipeline on pre-generated data;
@@ -39,14 +37,6 @@ import numpy as np
 
 SCHEMA_VERSION = 1
 
-#: Per-component (repeats, warmup) overrides; default is (5, 1).
-#: The two slowest rows used best-of-3 to keep the harness quick, but this
-#: machine's timing noise is heavy-tailed (whole-VM stalls that outlast a
-#: 3-repeat window), so they take the default 5 repeats like everything
-#: else; best-of-5 keeps the gate from tripping on a stall.
-_TIMING_PLAN = {}
-
-
 def time_case(fn: Callable[[], object], repeats: int = 5, warmup: int = 1) -> float:
     """Best-of-``repeats`` wall time of ``fn`` in seconds.
 
@@ -64,7 +54,7 @@ def time_case(fn: Callable[[], object], repeats: int = 5, warmup: int = 1) -> fl
     return best
 
 
-def build_cases(n_jobs: int = 1) -> Dict[str, Callable[[], object]]:
+def build_cases() -> Dict[str, Callable[[], object]]:
     """The component workloads, keyed by report name (insertion-ordered)."""
     from repro.circuits.montecarlo import MonteCarloEngine
     from repro.circuits.spicemodel import default_spice_deck
@@ -86,7 +76,7 @@ def build_cases(n_jobs: int = 1) -> Dict[str, Callable[[], object]]:
     kde_train = rng.standard_normal((1500, 6))
     kde_eval = rng.standard_normal((2000, 6))
     svm_train = np.random.default_rng(0).standard_normal((1500, 6))
-    bench_detector = DetectorConfig(kde_samples=30_000, n_jobs=n_jobs)
+    bench_detector = DetectorConfig(kde_samples=30_000)
     sample_kde = AdaptiveKde(alpha=0.5).fit(data.sim_fingerprints)
     deck = default_spice_deck()
     sim_campaign = FingerprintCampaign.random_stimuli(nm=6, seed=0, noisy_bench=False)
@@ -123,24 +113,21 @@ def build_cases(n_jobs: int = 1) -> Dict[str, Callable[[], object]]:
         "kmm_weights": lambda: KernelMeanMatcher(B=10.0).fit(
             data.sim_pcms, data.dutt_pcms
         ),
-        "mc_run": lambda: engine.run(100, seed=0, n_jobs=n_jobs, engine="loop"),
-        "mc_run_batched": lambda: engine.run(100, seed=0, engine="batched"),
+        "mc_run_batched": lambda: engine.run(100, seed=0),
         "aes_batch": lambda: aes128_encrypt_blocks(aes_key, aes_blocks),
         "table1": lambda: run_table1(detector_config=bench_detector, data=data),
         "serve_batch": lambda: serve_engine.score(serve_batch),
     }
 
 
-def run_report(n_jobs: int = 1, verbose: bool = True) -> dict:
-    """Time every component and return the report dictionary."""
+def run_report(verbose: bool = True) -> dict:
+    """Time every component (best of 5) and return the report dictionary."""
     results: Dict[str, float] = {}
-    for name, fn in build_cases(n_jobs=n_jobs).items():
-        repeats, warmup = _TIMING_PLAN.get(name, (5, 1))
-        results[name] = time_case(fn, repeats=repeats, warmup=warmup)
+    for name, fn in build_cases().items():
+        results[name] = time_case(fn)
         if verbose:
             print(f"{name:>12}: {results[name] * 1e3:9.2f} ms")
-    return {"schema": SCHEMA_VERSION, "units": "seconds", "n_jobs": n_jobs,
-            "results": results}
+    return {"schema": SCHEMA_VERSION, "units": "seconds", "results": results}
 
 
 def compare_reports(current: dict, baseline: dict, threshold: float = 0.20) -> List[str]:
@@ -195,7 +182,6 @@ def write_run_artifacts(report: dict, run_dir: str, argv: List[str]) -> str:
                 "run_id": run_id,
                 "component": component,
                 "seconds": seconds,
-                "n_jobs": report["n_jobs"],
             })
     manifest = RunManifest(
         run_id=run_id,
@@ -204,7 +190,7 @@ def write_run_artifacts(report: dict, run_dir: str, argv: List[str]) -> str:
         argv=list(argv),
         environment=collect_environment(),
         git=git_revision(),
-        config={"n_jobs": report["n_jobs"], "schema": report["schema"]},
+        config={"schema": report["schema"]},
         results=report["results"],
     )
     return write_manifest(manifest, run_dir)
@@ -227,10 +213,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="allowed slowdown vs baseline (0.20 = 20%%)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the parallel-capable components",
-    )
-    parser.add_argument(
         "--run-dir", type=str, default=None,
         help="also write events.jsonl + manifest.json for this bench run "
              "(same sink format as traced pipeline runs)",
@@ -238,7 +220,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     argv_record = list(sys.argv[1:]) if argv is None else list(argv)
 
-    report = run_report(n_jobs=args.jobs)
+    report = run_report()
 
     if args.run_dir:
         manifest_path = write_run_artifacts(report, args.run_dir, argv_record)

@@ -1,7 +1,7 @@
 """Stable content-addressed cache keys.
 
-A cache key must be identical across processes, interpreter restarts and
-worker counts whenever the *semantic* inputs of a stage are identical, and
+A cache key must be identical across processes and interpreter restarts
+whenever the *semantic* inputs of a stage are identical, and
 must change whenever any of them changes.  Keys are therefore SHA-256
 digests over a canonical JSON rendering of
 

@@ -9,8 +9,6 @@ discrepancy comes from the deck nominal, not the bench.
 
 from __future__ import annotations
 
-import functools
-import logging
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -21,10 +19,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.process.parameters import ProcessParameters
 from repro.process.population import DiePopulation, sample_structure_params
-from repro.utils.parallel import parallel_map
 from repro.utils.rng import SeedLike, as_generator, spawn_seed_sequences
-
-_log = logging.getLogger("repro.montecarlo")
 
 
 @dataclass
@@ -63,12 +58,13 @@ class SimulatedDie:
 def sample_device_population(deck: SpiceDeck, seeds) -> DiePopulation:
     """Draw a whole Monte Carlo device population as parallel arrays.
 
-    ``seeds`` are the per-device seed sequences the scalar path hands to
-    :func:`_simulate_device`; each device's generator is consumed in exactly
-    the scalar order — ``1 + k_lot`` normals for the lot draw, ``1 + k_die``
-    for the die draw (a single vectorized ``standard_normal`` of that length
-    yields the identical stream), then one mismatch-seed integer — so the
-    resulting population is bitwise identical to the loop's dies.
+    ``seeds`` are per-device seed sequences; each device's generator is
+    consumed in exactly the order of the scalar oracle
+    :meth:`MonteCarloEngine.sample_die` — ``1 + k_lot`` normals for the lot
+    draw, ``1 + k_die`` for the die draw (a single vectorized
+    ``standard_normal`` of that length yields the identical stream), then
+    one mismatch-seed integer — so the resulting population is bitwise
+    identical to the scalar dies.
     """
     seeds = list(seeds)
     n = len(seeds)
@@ -160,43 +156,24 @@ class MonteCarloEngine:
             mismatch_seed=int(gen.integers(0, 2**63 - 1)),
         )
 
-    def run(self, n: int, seed: SeedLike = None, n_jobs: int = 1,
-            engine: str = "batched") -> MonteCarloResult:
+    def run(self, n: int, seed: SeedLike = None) -> MonteCarloResult:
         """Simulate ``n`` golden devices and measure PCMs + fingerprints.
 
-        Every device owns a random stream spawned from ``seed`` before any
-        work is dispatched, and the numerical-noise draw comes from its own
-        dedicated stream, so the result is bit-identical for every ``n_jobs``
-        value (including the serial path).
-
-        ``engine="batched"`` (default) draws and measures the population as
-        array programs — bit-identical to ``engine="loop"``, which simulates
-        one device at a time.  A campaign configuration the batched engine
-        cannot reproduce exactly falls back to the loop.
+        Every device owns a random stream spawned from ``seed``, and the
+        numerical-noise draw comes from its own dedicated stream.  The
+        population is drawn and measured as array programs, bit-identical to
+        drawing each die with :meth:`sample_die` and measuring it with
+        ``campaign.measure_device``.  A campaign the array path cannot
+        reproduce (a fading channel) raises ``ValueError``.
         """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        if engine not in ("batched", "loop"):
-            raise ValueError(f"engine must be 'batched' or 'loop', got {engine!r}")
-        if engine == "batched":
-            reason = self.campaign._batch_unsupported_reason()
-            if reason is not None:
-                _log.info("batched engine unavailable (%s); falling back to loop",
-                          reason)
-                engine = "loop"
-        with span("mc.run", n=n, n_jobs=n_jobs, engine=engine):
+        self.campaign._require_batchable()
+        with span("mc.run", n=n):
             device_root, noise_root = spawn_seed_sequences(seed, 2)
-            if engine == "batched":
-                population = sample_device_population(self.deck, device_root.spawn(n))
-                pcms, fingerprints = self.campaign.measure_population_arrays(population)
-                obs_metrics.counter("mc.devices_simulated").inc(n)
-            else:
-                worker = functools.partial(_simulate_device, self.deck, self.campaign)
-                rows = parallel_map(
-                    worker, list(enumerate(device_root.spawn(n))), n_jobs=n_jobs
-                )
-                pcms = np.stack([row[0] for row in rows])
-                fingerprints = np.stack([row[1] for row in rows])
+            population = sample_device_population(self.deck, device_root.spawn(n))
+            pcms, fingerprints = self.campaign.measure_population_arrays(population)
+            obs_metrics.counter("mc.devices_simulated").inc(n)
             if self.numerical_noise > 0:
                 noise_rng = np.random.default_rng(noise_root)
                 pcms = pcms * (
@@ -208,20 +185,3 @@ class MonteCarloEngine:
                     * noise_rng.standard_normal(fingerprints.shape)
                 )
         return MonteCarloResult(pcms=pcms, fingerprints=fingerprints)
-
-
-def _simulate_device(deck: SpiceDeck, campaign, item):
-    """Simulate + measure one device from its pre-spawned seed (picklable)."""
-    index, seed = item
-    with span("mc.device", index=index):
-        rng = np.random.default_rng(seed)
-        die_params = deck.sample_die(rng)
-        die = SimulatedDie(
-            index=index,
-            die_params=die_params,
-            deck=deck,
-            mismatch_seed=int(rng.integers(0, 2**63 - 1)),
-        )
-        device = campaign.measure_device(die, trojan=None, version="TF")
-    obs_metrics.counter("mc.devices_simulated").inc()
-    return device.pcms, device.fingerprint

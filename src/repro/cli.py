@@ -97,32 +97,37 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--data", type=str, default=None,
         help="load measurements from a .npz written by the generate command",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for simulation and boundary fits "
-             "(results are bit-identical for any value; -1 = all cores)",
-    )
-    parser.add_argument(
-        "--engine", type=str, default="batched", choices=["batched", "loop"],
-        help="population evaluation engine: 'batched' vectorizes whole "
-             "device populations, 'loop' simulates one die at a time "
-             "(bit-identical results)",
-    )
+    _add_pinned(parser)
     _add_obs(parser)
+
+
+def _add_pinned(parser: argparse.ArgumentParser) -> None:
+    """``--jobs``/``--engine``: single-valued, kept for the benchmark's argv.
+
+    Every step runs in one process on the one population engine; the repo
+    benchmark still passes ``--jobs 1`` and reads both values into the
+    configs, so the flags parse but accept nothing else.
+    """
+    parser.add_argument(
+        "--jobs", type=int, default=1, choices=[1],
+        help="must be 1: every step runs in one process (kept so existing "
+             "command lines keep parsing)",
+    )
+    parser.add_argument(
+        "--engine", type=str, default="batched", choices=["batched"],
+        help="must be 'batched': the only population engine (kept so "
+             "existing command lines keep parsing)",
+    )
 
 
 def _resolve_data(args):
     if args.data:
         return load_experiment_data(args.data)
-    return generate_experiment_data(
-        PlatformConfig(seed=args.seed, n_chips=args.chips, n_jobs=args.jobs,
-                       engine=getattr(args, "engine", "batched"))
-    )
+    return generate_experiment_data(PlatformConfig(seed=args.seed, n_chips=args.chips))
 
 
 def _detector_config(args) -> DetectorConfig:
-    return DetectorConfig(kde_samples=args.kde_samples, n_jobs=args.jobs,
-                          engine=getattr(args, "engine", "batched"))
+    return DetectorConfig(kde_samples=args.kde_samples)
 
 
 def _cmd_table1(args) -> int:
@@ -165,10 +170,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    data = generate_experiment_data(
-        PlatformConfig(seed=args.seed, n_chips=args.chips, n_jobs=args.jobs,
-                       engine=args.engine)
-    )
+    data = generate_experiment_data(PlatformConfig(seed=args.seed, n_chips=args.chips))
     path = save_experiment_data(data, args.output)
     print(f"wrote {data.n_devices} DUTTs + {data.sim_fingerprints.shape[0]} "
           f"simulated devices to {path}")
@@ -349,11 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("output", help="target .npz path")
     generate.add_argument("--seed", type=int, default=16)
     generate.add_argument("--chips", type=int, default=40)
-    generate.add_argument("--jobs", type=int, default=1)
-    generate.add_argument(
-        "--engine", type=str, default="batched", choices=["batched", "loop"],
-        help="population evaluation engine (bit-identical results)",
-    )
+    _add_pinned(generate)
     _add_obs(generate)
     generate.set_defaults(handler=_cmd_generate)
 

@@ -63,16 +63,11 @@ class DetectorConfig:
         directions of the trusted region (see the regression ablation).
     seed:
         Master seed for every stochastic pipeline step.
-    n_jobs:
-        Worker processes for the independent boundary fits (clamped to the
-        CPU count; negative = joblib convention).  Results are bit-identical
-        for every value: each boundary owns a child generator spawned from
-        the master seed.
-    engine:
-        Population evaluation engine used by data-regeneration paths that
-        simulate or measure device populations: ``"batched"`` (default,
-        array programs) or ``"loop"`` (device-at-a-time reference).  Both
-        produce bit-identical measurements.
+    n_jobs / engine:
+        Accept only ``1`` and ``"batched"``: every step runs in one process
+        on the one population engine.  The fields remain because the
+        repository benchmark (``perfbench/``) still passes them; see
+        :func:`check_pinned_execution`.
     """
 
     n_monte_carlo: int = 100
@@ -130,9 +125,22 @@ class DetectorConfig:
                 "svm_max_training_samples must be >= 10, "
                 f"got {self.svm_max_training_samples}"
             )
-        if not isinstance(self.n_jobs, int) or isinstance(self.n_jobs, bool):
-            raise ValueError(f"n_jobs must be an integer, got {self.n_jobs!r}")
-        if self.engine not in ("batched", "loop"):
-            raise ValueError(
-                f"engine must be 'batched' or 'loop', got {self.engine!r}"
-            )
+        check_pinned_execution(self.n_jobs, self.engine)
+
+
+def check_pinned_execution(n_jobs, engine) -> None:
+    """Reject any ``n_jobs``/``engine`` but the single supported values.
+
+    Every step runs in one process, and populations are simulated and
+    measured by one array-program engine, so ``n_jobs`` must be ``1`` and
+    ``engine`` must be ``"batched"``.  Both settings stay on the configs and
+    the CLI only because the repository benchmark still passes them.
+    """
+    if not isinstance(n_jobs, int) or isinstance(n_jobs, bool) or n_jobs != 1:
+        raise ValueError(
+            f"n_jobs must be 1 (every step runs in one process), got {n_jobs!r}"
+        )
+    if engine != "batched":
+        raise ValueError(
+            f"engine must be 'batched' (the only population engine), got {engine!r}"
+        )

@@ -16,7 +16,6 @@ staying clear of the Trojans.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -149,23 +148,3 @@ def run_figure4(
         t1_projection=pca.transform(t1),
         t2_projection=pca.transform(t2),
     )
-
-
-def main(argv=None) -> int:
-    """CLI entry point: print the reproduced Figure 4 geometry."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=16, help="experiment seed")
-    parser.add_argument(
-        "--kde-samples", type=int, default=100_000, help="tail-enhanced set size (M')"
-    )
-    args = parser.parse_args(argv)
-    result = run_figure4(
-        platform=PlatformConfig(seed=args.seed),
-        detector_config=DetectorConfig(kde_samples=args.kde_samples),
-    )
-    print(result.format())
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

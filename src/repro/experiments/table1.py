@@ -1,12 +1,11 @@
 """Reproduction of Table 1: FP/FN of boundaries B1..B5 over 120 DUTTs.
 
-Run as a module (``python -m repro.experiments.table1``) or through the
-``repro-table1`` console script.
+Run it through the CLI: ``python -m repro.cli table1`` (add
+``--kde-samples 100000`` for the paper's M').
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -83,26 +82,3 @@ def run_table1(
     detector.fit_silicon(data.dutt_pcms)
     metrics = detector.evaluate(data.dutt_fingerprints, data.infested)
     return Table1Result(metrics=metrics, detector=detector, data=data)
-
-
-def main(argv=None) -> int:
-    """CLI entry point: print the reproduced Table 1."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=16, help="experiment seed")
-    parser.add_argument("--chips", type=int, default=40, help="fabricated chips")
-    parser.add_argument(
-        "--kde-samples", type=int, default=100_000, help="tail-enhanced set size (M')"
-    )
-    args = parser.parse_args(argv)
-    result = run_table1(
-        platform=PlatformConfig(seed=args.seed, n_chips=args.chips),
-        detector_config=DetectorConfig(kde_samples=args.kde_samples),
-    )
-    print(result.format())
-    print()
-    print(f"matches paper shape: {result.matches_paper_shape()}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

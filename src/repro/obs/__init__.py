@@ -3,8 +3,7 @@
 The subsystem has four parts, all dependency-free and all off by default:
 
 * :mod:`repro.obs.trace` — nestable spans (``with span("kde.fit", n=100)``)
-  recording wall time, CPU time and key/value attributes, with transparent
-  collection across the :mod:`repro.utils.parallel` process pool;
+  recording wall time, CPU time and key/value attributes;
 * :mod:`repro.obs.metrics` — counters / gauges / histograms fed by the hot
   paths (KDE acceptance ratio, SMO iterations, KMM residuals, ...);
 * :mod:`repro.obs.manifest` + :mod:`repro.obs.sink` — the per-run artifact:
@@ -70,7 +69,7 @@ def enabled() -> bool:
 
 
 def get_logger(name: str) -> logging.Logger:
-    """A logger under the ``repro`` hierarchy (``get_logger("parallel")``)."""
+    """A logger under the ``repro`` hierarchy (``get_logger("cache")``)."""
     return logging.getLogger(f"{LOGGER_NAME}.{name}")
 
 

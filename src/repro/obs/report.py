@@ -2,10 +2,9 @@
 
 Renders the stage-time breakdown of a recorded run as an indented tree.
 Sibling spans with the same name are aggregated into one line (``x N``) —
-a 100-device Monte Carlo run reads as one ``mc.device`` row, not a hundred
-— and each line shows summed wall time, the share of the run, summed CPU
-time and the number of distinct worker processes involved.  The metric
-snapshot follows as counter/gauge/histogram tables.
+the three DUTT sweeps read as one ``campaign.measure_population`` row —
+and each line shows summed wall time, the share of the run and summed CPU
+time.  The metric snapshot follows as counter/gauge/histogram tables.
 
 The *stage coverage* figure is the acceptance gate of the instrumentation:
 the fraction of the root span's wall time accounted for by its direct
@@ -59,13 +58,11 @@ def _render_group(name: str, group: List[Span], children, depth: int,
                   run_wall: float, lines: List[str]) -> None:
     wall = sum(s.wall for s in group)
     cpu = sum(s.cpu for s in group)
-    workers = {s.worker for s in group if s.worker is not None}
     label = f"{'  ' * depth}{name}"
     if len(group) > 1:
         label += f" x{len(group)}"
     share = f"{100.0 * wall / run_wall:5.1f}%" if run_wall > 0 else "    -"
-    extra = f"  [{len(workers)} workers]" if workers else ""
-    lines.append(f"  {label:<44} {wall * 1e3:9.1f} ms {share} {cpu * 1e3:9.1f} ms{extra}")
+    lines.append(f"  {label:<44} {wall * 1e3:9.1f} ms {share} {cpu * 1e3:9.1f} ms")
     nested: List[Span] = []
     for member in group:
         nested.extend(children.get(member.span_id, []))

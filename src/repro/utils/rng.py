@@ -51,10 +51,10 @@ def spawn_children(seed: SeedLike, count: int) -> list:
 def spawn_seed_sequences(seed: SeedLike, count: int) -> list:
     """Derive ``count`` independent :class:`~numpy.random.SeedSequence` children.
 
-    Unlike :func:`spawn_children` this returns *seeds*, not generators, so the
-    children can cross a process boundary cheaply and be turned into
-    generators inside worker processes.  All entropy is drawn up front in the
-    caller, which makes results independent of worker scheduling.
+    Unlike :func:`spawn_children` this returns *seeds*, not generators, so
+    each device of a population can own a stream that is turned into a
+    generator only when that device is drawn.  All entropy is drawn up front,
+    which makes a device's stream independent of processing order.
 
     Like ``SeedSequence.spawn``, the children are prefix-stable: the first
     ``k`` of ``spawn_seed_sequences(seed, n)`` equal

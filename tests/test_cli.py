@@ -55,3 +55,15 @@ def test_ablation_command(capsys):
 def test_ablation_rejects_unknown_study():
     with pytest.raises(SystemExit):
         main(["ablation", "warp-drive"])
+
+
+@pytest.mark.parametrize("flags", [["--jobs", "2"], ["--engine", "loop"]])
+def test_unpinned_execution_flags_rejected(flags):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table1", *FAST, *flags])
+    assert excinfo.value.code == 2
+
+
+def test_pinned_execution_flags_parse():
+    args = build_parser().parse_args(["table1", "--jobs", "1", "--engine", "batched"])
+    assert (args.jobs, args.engine) == (1, "batched")

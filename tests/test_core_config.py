@@ -27,6 +27,9 @@ def test_defaults_construct():
         dict(kmm_resample_size=0),
         dict(svm_max_training_samples=5),
         dict(regression_mode="magic"),
+        dict(n_jobs=2),
+        dict(n_jobs=-1),
+        dict(engine="loop"),
     ],
 )
 def test_rejects_invalid(kwargs):

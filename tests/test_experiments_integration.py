@@ -1,4 +1,4 @@
-"""End-to-end reproduction checks: Table 1 shape, Figure 4 geometry, CLI."""
+"""End-to-end reproduction checks: Table 1 shape and rows, Figure 4 geometry."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.core.config import DetectorConfig
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.platformcfg import PlatformConfig
-from repro.experiments.table1 import main as table1_main
 from repro.experiments.table1 import run_table1
 
 
@@ -16,6 +15,24 @@ def table1_result(full_experiment_data):
         detector_config=DetectorConfig(kde_samples=30_000),
         data=full_experiment_data,
     )
+
+
+#: Exact (FN, FP) per boundary B1..B5 at CLI defaults (M' = 30 000), per
+#: platform seed.  Seed 16 is the display seed; seed 4 is one where KMM
+#: does not converge, recorded as is so any numeric drift shows up here.
+PINNED_ROWS = {
+    16: ((40, 37, 40, 40, 4), (0, 0, 0, 0, 0)),
+    4: ((6, 0, 40, 40, 0), (0, 1, 0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_ROWS))
+def test_pinned_table1_rows(seed):
+    result = run_table1(PlatformConfig(seed=seed), DetectorConfig(kde_samples=30_000))
+    names = ("B1", "B2", "B3", "B4", "B5")
+    fn = tuple(result.metrics[name].fn_count for name in names)
+    fp = tuple(result.metrics[name].fp_count for name in names)
+    assert (fn, fp) == PINNED_ROWS[seed], result.format()
 
 
 @pytest.mark.slow
@@ -76,10 +93,3 @@ class TestFigure4:
     def test_format_is_printable(self, figure):
         text = figure.format()
         assert "S5" in text and "cover" in text
-
-
-class TestCli:
-    def test_table1_main_runs(self, capsys):
-        assert table1_main(["--kde-samples", "2000", "--chips", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "matches paper shape" in out

@@ -16,7 +16,15 @@ from tests.conftest import small_platform
 class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(nm=0), dict(n_chips=1), dict(n_monte_carlo=5), dict(drift_scale=-1.0)],
+        [
+            dict(nm=0),
+            dict(n_chips=1),
+            dict(n_monte_carlo=5),
+            dict(drift_scale=-1.0),
+            dict(n_jobs=2),
+            dict(n_jobs=-1),
+            dict(engine="loop"),
+        ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -78,7 +78,7 @@ class TestTracedTable1:
 
 class TestBenchSink:
     def test_bench_artifacts_share_sink_format(self, tmp_path):
-        report = {"schema": 1, "units": "seconds", "n_jobs": 1,
+        report = {"schema": 1, "units": "seconds",
                   "results": {"kde_density": 0.012, "ocsvm_fit": 0.034}}
         run_dir = str(tmp_path / "bench-run")
         path = write_run_artifacts(report, run_dir, ["--run-dir", run_dir])

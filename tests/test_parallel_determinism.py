@@ -1,114 +1,82 @@
-"""n_jobs invariance: parallel runs are bit-identical to serial runs.
+"""Determinism: a fixed seed pins every bit, in any process, traced or not.
 
-The parallelism contract (see ``repro.utils.parallel``) is that every work
-item owns a pre-spawned random stream, so the *number* of workers can never
-change a single bit of the output.  The CI box may have one CPU, so the
-tests force real process pools by patching ``os.cpu_count``.
+Every step runs in one process, and every stochastic step draws from its own
+child stream of the master seed.  So a fresh interpreter reproduces the
+in-process experiment exactly, the detector's boundaries do not depend on
+the order they are fitted in, and tracing (which reads clocks only) never
+moves a bit.
 """
 
-from unittest import mock
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import obs
-from repro.circuits.montecarlo import MonteCarloEngine
-from repro.circuits.spicemodel import default_spice_deck
 from repro.core.pipeline import GoldenChipFreeDetector
 from repro.experiments.platformcfg import generate_experiment_data
-from repro.testbed.campaign import FingerprintCampaign
 from tests.conftest import small_detector_config, small_platform
 
-
-def _with_fake_cores(n):
-    return mock.patch("os.cpu_count", return_value=n)
-
-
-@pytest.fixture(scope="module")
-def engine():
-    campaign = FingerprintCampaign.random_stimuli(nm=4, seed=0, noisy_bench=False)
-    return MonteCarloEngine(default_spice_deck(), campaign, numerical_noise=0.0015)
-
-
-class TestMonteCarloBitIdentity:
-    # The pooled runs pin ``engine="loop"`` — only the loop engine
-    # dispatches per-device work items to a pool (the batched engine is one
-    # serial array program) — so each assertion covers pool-vs-serial *and*
-    # loop-vs-batched identity at once.
-
-    def test_pool_matches_serial(self, engine):
-        serial = engine.run(16, seed=123, n_jobs=1)
-        with _with_fake_cores(4):
-            pooled = engine.run(16, seed=123, n_jobs=4, engine="loop")
-        np.testing.assert_array_equal(pooled.pcms, serial.pcms)
-        np.testing.assert_array_equal(pooled.fingerprints, serial.fingerprints)
-
-    def test_generator_seed_also_invariant(self, engine):
-        serial = engine.run(10, seed=np.random.default_rng(5), n_jobs=1)
-        with _with_fake_cores(4):
-            pooled = engine.run(10, seed=np.random.default_rng(5), n_jobs=4,
-                                engine="loop")
-        np.testing.assert_array_equal(pooled.fingerprints, serial.fingerprints)
-
-    def test_excess_workers_are_harmless(self, engine):
-        serial = engine.run(6, seed=1, n_jobs=1)
-        with _with_fake_cores(4):
-            pooled = engine.run(6, seed=1, n_jobs=-1, engine="loop")
-        np.testing.assert_array_equal(pooled.fingerprints, serial.fingerprints)
+_FRESH_RUN = """
+import sys
+import numpy as np
+from repro.experiments.platformcfg import PlatformConfig, generate_experiment_data
+data = generate_experiment_data(PlatformConfig(n_chips=8, n_monte_carlo=20, seed=5))
+np.savez(sys.argv[1], sim_pcms=data.sim_pcms, sim_fingerprints=data.sim_fingerprints,
+         dutt_pcms=data.dutt_pcms, dutt_fingerprints=data.dutt_fingerprints,
+         infested=data.infested)
+"""
 
 
 class TestExperimentBitIdentity:
-    def test_full_synthetic_experiment(self):
-        # Covers both parallel stages at once: the Monte Carlo engine and
-        # the noisy-instrument silicon measurement sweep (TF + T1 + T2).
-        serial = generate_experiment_data(small_platform(n_chips=8, n_monte_carlo=20))
-        with _with_fake_cores(4):
-            # engine="loop" so the pools actually engage (the default
-            # batched engine runs serially); also cross-checks the engines.
-            pooled = generate_experiment_data(
-                small_platform(n_chips=8, n_monte_carlo=20, n_jobs=4, engine="loop")
+    def test_full_synthetic_experiment(self, tmp_path):
+        # A fresh interpreter starts with empty module-level caches
+        # (transmitter analog models, memoized volumes), so matching it
+        # shows no result depends on what ran earlier in this process.
+        local = generate_experiment_data(small_platform(n_chips=8, n_monte_carlo=20))
+        out = tmp_path / "fresh.npz"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_CACHE")}
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", _FRESH_RUN, str(out)],
+                       check=True, env=env, timeout=300)
+        with np.load(out) as fresh:
+            np.testing.assert_array_equal(fresh["sim_pcms"], local.sim_pcms)
+            np.testing.assert_array_equal(
+                fresh["sim_fingerprints"], local.sim_fingerprints
             )
-        np.testing.assert_array_equal(pooled.sim_pcms, serial.sim_pcms)
-        np.testing.assert_array_equal(pooled.sim_fingerprints, serial.sim_fingerprints)
-        np.testing.assert_array_equal(pooled.dutt_pcms, serial.dutt_pcms)
-        np.testing.assert_array_equal(
-            pooled.dutt_fingerprints, serial.dutt_fingerprints
-        )
-        np.testing.assert_array_equal(pooled.infested, serial.infested)
-        assert pooled.trojan_names == serial.trojan_names
+            np.testing.assert_array_equal(fresh["dutt_pcms"], local.dutt_pcms)
+            np.testing.assert_array_equal(
+                fresh["dutt_fingerprints"], local.dutt_fingerprints
+            )
+            np.testing.assert_array_equal(fresh["infested"], local.infested)
 
 
 class TestDetectorBitIdentity:
     def test_boundary_fits_match_serial(self, experiment_data):
-        detectors = {}
-        for n_jobs in (1, 4):
-            detector = GoldenChipFreeDetector(small_detector_config(n_jobs=n_jobs))
-            with _with_fake_cores(4):
-                detector.fit_premanufacturing(
-                    experiment_data.sim_pcms, experiment_data.sim_fingerprints
-                )
-                detector.fit_silicon(experiment_data.dutt_pcms)
-            detectors[n_jobs] = detector
-        serial, pooled = detectors[1], detectors[4]
-        assert set(serial.boundaries) == set(pooled.boundaries)
-        for name, region in serial.boundaries.items():
-            other = pooled.boundaries[name]
+        detector = GoldenChipFreeDetector(small_detector_config())
+        detector.fit_premanufacturing(
+            experiment_data.sim_pcms, experiment_data.sim_fingerprints
+        )
+        detector.fit_silicon(experiment_data.dutt_pcms)
+        # Reference: each boundary fitted on its own, in reverse order, from
+        # a fresh detector's child streams.
+        reference = GoldenChipFreeDetector(small_detector_config())
+        mapping = {"B1": "S1", "B2": "S2", "B3": "S3", "B4": "S4", "B5": "S5"}
+        assert set(detector.boundaries) == set(mapping)
+        for name in reversed(list(mapping)):
+            expected = reference._new_region(name).fit(detector.datasets[mapping[name]])
+            region = detector.boundaries[name]
             np.testing.assert_array_equal(
-                other._learner.support_vectors_, region._learner.support_vectors_
+                region._learner.support_vectors_, expected._learner.support_vectors_
             )
             np.testing.assert_array_equal(
-                other._learner.dual_coefs_, region._learner.dual_coefs_
+                region._learner.dual_coefs_, expected._learner.dual_coefs_
             )
-            assert other._learner.rho_ == region._learner.rho_
-        metrics_serial = serial.evaluate(
-            experiment_data.dutt_fingerprints, experiment_data.infested
-        )
-        metrics_pooled = pooled.evaluate(
-            experiment_data.dutt_fingerprints, experiment_data.infested
-        )
-        for name, metric in metrics_serial.items():
-            assert metrics_pooled[name].fn_count == metric.fn_count
-            assert metrics_pooled[name].fp_count == metric.fp_count
+            assert region._learner.rho_ == expected._learner.rho_
 
 
 class TestTracingBitIdentity:
@@ -132,16 +100,6 @@ class TestTracingBitIdentity:
         np.testing.assert_array_equal(
             traced.dutt_fingerprints, plain.dutt_fingerprints
         )
-
-    def test_traced_pool_matches_untraced_serial(self, engine):
-        plain = engine.run(12, seed=77, n_jobs=1)
-        obs.enable()
-        with _with_fake_cores(4):
-            traced = engine.run(12, seed=77, n_jobs=4, engine="loop")
-        spans, _ = obs.disable()
-        assert any(s.worker is not None for s in spans), "pool did not engage"
-        np.testing.assert_array_equal(traced.pcms, plain.pcms)
-        np.testing.assert_array_equal(traced.fingerprints, plain.fingerprints)
 
     def test_traced_detector_matches_untraced(self, experiment_data):
         def fit_and_evaluate():

@@ -1,10 +1,12 @@
-"""Batched population engine: bit-identity against the loop reference.
+"""Population engine: bit-identity against the scalar per-die oracle.
 
-The tentpole contract of the population engine is *exactness*: for every
-campaign configuration it supports, ``engine="batched"`` must reproduce the
-``engine="loop"`` measurements bit for bit — same AES ciphertexts, same
+The contract of the population engine is *exactness*: for every campaign
+configuration it supports, measuring a population as array programs must
+reproduce the scalar per-die path bit for bit — same AES ciphertexts, same
 mismatch draws, same analog model floats, same instrument-noise streams.
-These tests pin that contract across all three design versions (TF + both
+The scalar reference lives here, built from the kept per-die functions
+(``MonteCarloEngine.sample_die``, ``FingerprintCampaign.measure_device``).
+These tests pin the contract across all three design versions (TF + both
 Trojans), noise-free and noisy benches, the Monte Carlo engine, and the
 full synthetic experiment, plus a property test of the vectorized AES
 against the scalar FIPS-197 reference.
@@ -21,6 +23,8 @@ from repro.circuits.montecarlo import MonteCarloEngine, sample_device_population
 from repro.circuits.spicemodel import default_spice_deck
 from repro.crypto.aes import AES128, aes128_encrypt_blocks
 from repro.experiments.platformcfg import (
+    build_deck,
+    build_foundry,
     generate_experiment_data,
     rf_model_error,
 )
@@ -32,9 +36,11 @@ from repro.process.parameters import (
 from repro.process.population import DiePopulation
 from repro.rf.channel import AwgnChannel
 from repro.silicon.foundry import Foundry
+from repro.silicon.instruments import DelayAnalyzer, PowerMeter
 from repro.testbed.campaign import FingerprintCampaign
 from repro.trojans.amplitude import AmplitudeModulationTrojan
 from repro.trojans.frequency import FrequencyModulationTrojan
+from repro.utils.rng import spawn_children, spawn_seed_sequences
 from tests.conftest import small_platform
 
 VERSION_SWEEP = [
@@ -55,6 +61,67 @@ def _paper_foundry(seed=0):
     )
 
 
+def _device_bench(campaign, seed):
+    """The bench one device is measured on: instruments seeded from ``seed``."""
+    power_seq, delay_seq = seed.spawn(2)
+    return FingerprintCampaign(
+        key=campaign.key,
+        plaintexts=list(campaign.plaintexts),
+        pcm_suite=campaign.pcm_suite,
+        receiver=campaign.receiver,
+        channel=campaign.channel,
+        power_meter=(
+            PowerMeter(seed=power_seq, gain_sigma=campaign.power_meter.gain_sigma)
+            if campaign.power_meter is not None
+            else None
+        ),
+        delay_analyzer=(
+            DelayAnalyzer(seed=delay_seq, gain_sigma=campaign.delay_analyzer.gain_sigma)
+            if campaign.delay_analyzer is not None
+            else None
+        ),
+    )
+
+
+def _reference_population(campaign, dies, trojan=None, version="TF"):
+    """Scalar reference of ``measure_population``: one die at a time.
+
+    A seeded bench spawns one child per die from ``instrument_root`` (the
+    same stateful spawn the population path makes) and measures each die on
+    instruments freshly seeded from its child.
+    """
+    if campaign.instrument_root is None:
+        return [campaign.measure_device(die, trojan=trojan, version=version)
+                for die in dies]
+    seeds = campaign.instrument_root.spawn(len(dies))
+    return [
+        _device_bench(campaign, seed).measure_device(die, trojan=trojan, version=version)
+        for die, seed in zip(dies, seeds)
+    ]
+
+
+def _reference_monte_carlo(engine, n, seed):
+    """Scalar reference of ``MonteCarloEngine.run``: ``(pcms, fingerprints)``."""
+    device_root, noise_root = spawn_seed_sequences(seed, 2)
+    devices = [
+        engine.campaign.measure_device(
+            engine.sample_die(index, np.random.default_rng(device_seed))
+        )
+        for index, device_seed in enumerate(device_root.spawn(n))
+    ]
+    pcms = np.stack([device.pcms for device in devices])
+    fingerprints = np.stack([device.fingerprint for device in devices])
+    if engine.numerical_noise > 0:
+        noise_rng = np.random.default_rng(noise_root)
+        pcms = pcms * (
+            1.0 + engine.numerical_noise * noise_rng.standard_normal(pcms.shape)
+        )
+        fingerprints = fingerprints * (
+            1.0 + engine.numerical_noise * noise_rng.standard_normal(fingerprints.shape)
+        )
+    return pcms, fingerprints
+
+
 def _assert_device_lists_equal(batched, loop):
     assert len(batched) == len(loop)
     for b, l in zip(batched, loop):
@@ -71,7 +138,7 @@ def fabricated_dies():
 
 
 class TestCampaignEngineBitIdentity:
-    """measure_population: batched == loop, per version, per bench."""
+    """measure_population == the per-die reference, per version, per bench."""
 
     @pytest.mark.parametrize("trojan,version", VERSION_SWEEP,
                              ids=[v for _, v in VERSION_SWEEP])
@@ -79,44 +146,39 @@ class TestCampaignEngineBitIdentity:
         campaign = FingerprintCampaign.random_stimuli(
             nm=6, seed=11, noisy_bench=False
         )
-        loop = campaign.measure_population(
-            fabricated_dies, trojan=trojan, version=version, engine="loop"
-        )
+        loop = _reference_population(campaign, fabricated_dies, trojan, version)
         batched = campaign.measure_population(
-            fabricated_dies, trojan=trojan, version=version, engine="batched"
+            fabricated_dies, trojan=trojan, version=version
         )
         _assert_device_lists_equal(batched, loop)
 
     def test_noisy_bench_full_sweep(self, fabricated_dies):
         # instrument_root.spawn is stateful (each population consumes fresh
         # per-device seeds in call order), so compare two identically seeded
-        # benches each running the whole TF+T1+T2 sweep with one engine.
+        # benches each running the whole TF+T1+T2 sweep on one path.
         base = FingerprintCampaign.random_stimuli(nm=6, seed=11, noisy_bench=False)
-        sweeps = {}
-        for engine in ("loop", "batched"):
-            bench = base.silicon_bench(seed=99)
-            devices = []
-            for trojan, version in VERSION_SWEEP:
-                devices.extend(
-                    bench.measure_population(
-                        fabricated_dies, trojan=trojan, version=version,
-                        engine=engine,
-                    )
+        loop_bench = base.silicon_bench(seed=99)
+        batched_bench = base.silicon_bench(seed=99)
+        loop, batched = [], []
+        for trojan, version in VERSION_SWEEP:
+            loop.extend(_reference_population(loop_bench, fabricated_dies, trojan, version))
+            batched.extend(
+                batched_bench.measure_population(
+                    fabricated_dies, trojan=trojan, version=version
                 )
-            sweeps[engine] = devices
-        _assert_device_lists_equal(sweeps["batched"], sweeps["loop"])
+            )
+        _assert_device_lists_equal(batched, loop)
 
     def test_noisy_bench_single_population(self, fabricated_dies):
-        loop = FingerprintCampaign.random_stimuli(
-            nm=4, seed=2, noisy_bench=False
-        ).silicon_bench(seed=7).measure_population(
-            fabricated_dies, engine="loop"
+        loop = _reference_population(
+            FingerprintCampaign.random_stimuli(
+                nm=4, seed=2, noisy_bench=False
+            ).silicon_bench(seed=7),
+            fabricated_dies,
         )
         batched = FingerprintCampaign.random_stimuli(
             nm=4, seed=2, noisy_bench=False
-        ).silicon_bench(seed=7).measure_population(
-            fabricated_dies, engine="batched"
-        )
+        ).silicon_bench(seed=7).measure_population(fabricated_dies)
         _assert_device_lists_equal(batched, loop)
 
     def test_fixed_gain_channel_is_batchable(self, fabricated_dies):
@@ -124,50 +186,26 @@ class TestCampaignEngineBitIdentity:
             nm=4, seed=5, noisy_bench=False
         )
         campaign.channel = AwgnChannel(path_gain=0.8, fading_sigma=0.0)
-        assert campaign._batch_unsupported_reason() is None
-        loop = campaign.measure_population(fabricated_dies, engine="loop")
-        batched = campaign.measure_population(fabricated_dies, engine="batched")
+        loop = _reference_population(campaign, fabricated_dies)
+        batched = campaign.measure_population(fabricated_dies)
         _assert_device_lists_equal(batched, loop)
 
-    def test_fading_channel_falls_back_to_loop(self, fabricated_dies):
+    def test_fading_channel_rejected(self, fabricated_dies):
+        # The per-pulse fading stream is stateful; only measure_device can
+        # consume it, one die at a time.
         campaign = FingerprintCampaign.random_stimuli(
             nm=4, seed=5, noisy_bench=False
         )
         campaign.channel = AwgnChannel(path_gain=0.8, fading_sigma=0.1, seed=123)
-        assert campaign._batch_unsupported_reason() is not None
-        batched = campaign.measure_population(fabricated_dies, engine="batched")
-        # Equality with the loop is itself proof of the fallback: the
-        # batched path cannot reproduce the stateful per-pulse fading
-        # stream, so only the loop produces these exact measurements.  A
-        # fresh identically-configured campaign replays that stream.
-        fresh = FingerprintCampaign.random_stimuli(
-            nm=4, seed=5, noisy_bench=False
-        )
-        fresh.channel = AwgnChannel(path_gain=0.8, fading_sigma=0.1, seed=123)
-        loop = fresh.measure_population(fabricated_dies, engine="loop")
-        _assert_device_lists_equal(batched, loop)
+        with pytest.raises(ValueError, match="fading"):
+            campaign.measure_population(fabricated_dies)
 
-    def test_legacy_shared_stream_bench_falls_back(self, fabricated_dies):
+    def test_shared_stream_bench_rejected(self, fabricated_dies):
         # A noisy bench without instrument_root is measurement-order
-        # dependent; the batched request must refuse and match the loop.
-        loop_bench = FingerprintCampaign.random_stimuli(
-            nm=4, seed=8, noisy_bench=True
-        )
-        assert loop_bench._batch_unsupported_reason() is not None
-        loop = loop_bench.measure_population(fabricated_dies, engine="loop")
-        batched_bench = FingerprintCampaign.random_stimuli(
-            nm=4, seed=8, noisy_bench=True
-        )
-        batched = batched_bench.measure_population(
-            fabricated_dies, engine="batched"
-        )
-        _assert_device_lists_equal(batched, loop)
-
-    def test_unknown_engine_rejected(self, fabricated_dies):
-        campaign = FingerprintCampaign.random_stimuli(nm=4, seed=5,
-                                                      noisy_bench=False)
-        with pytest.raises(ValueError, match="engine"):
-            campaign.measure_population(fabricated_dies, engine="gpu")
+        # dependent, so it cannot be measured as a population.
+        campaign = FingerprintCampaign.random_stimuli(nm=4, seed=8, noisy_bench=True)
+        with pytest.raises(ValueError, match="instrument_root"):
+            campaign.measure_population(fabricated_dies)
 
 
 class TestMonteCarloEngineBitIdentity:
@@ -181,36 +219,27 @@ class TestMonteCarloEngineBitIdentity:
 
     def test_batched_matches_loop(self):
         engine = self._engine()
-        loop = engine.run(24, seed=42, engine="loop")
-        batched = engine.run(24, seed=42, engine="batched")
-        np.testing.assert_array_equal(batched.pcms, loop.pcms)
-        np.testing.assert_array_equal(batched.fingerprints, loop.fingerprints)
+        pcms, fingerprints = _reference_monte_carlo(engine, 24, seed=42)
+        batched = engine.run(24, seed=42)
+        np.testing.assert_array_equal(batched.pcms, pcms)
+        np.testing.assert_array_equal(batched.fingerprints, fingerprints)
 
     def test_batched_matches_loop_noise_free(self):
         engine = self._engine(noise=0.0)
-        loop = engine.run(16, seed=9, engine="loop")
-        batched = engine.run(16, seed=9, engine="batched")
-        np.testing.assert_array_equal(batched.pcms, loop.pcms)
-        np.testing.assert_array_equal(batched.fingerprints, loop.fingerprints)
+        pcms, fingerprints = _reference_monte_carlo(engine, 16, seed=9)
+        batched = engine.run(16, seed=9)
+        np.testing.assert_array_equal(batched.pcms, pcms)
+        np.testing.assert_array_equal(batched.fingerprints, fingerprints)
 
-    def test_fading_channel_falls_back(self):
-        loop = self._engine(
-            channel=AwgnChannel(fading_sigma=0.05, seed=6)
-        ).run(8, seed=4, engine="loop")
-        batched = self._engine(
-            channel=AwgnChannel(fading_sigma=0.05, seed=6)
-        ).run(8, seed=4, engine="batched")
-        np.testing.assert_array_equal(batched.pcms, loop.pcms)
-        np.testing.assert_array_equal(batched.fingerprints, loop.fingerprints)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            self._engine().run(4, seed=0, engine="simd")
+    def test_fading_channel_rejected(self):
+        engine = self._engine(channel=AwgnChannel(fading_sigma=0.05, seed=6))
+        with pytest.raises(ValueError, match="fading"):
+            engine.run(8, seed=4)
 
     def test_population_matches_scalar_dies(self):
         # sample_device_population consumes each per-device stream in the
         # scalar order, so the stacked die parameters and mismatch seeds are
-        # bitwise the loop's.
+        # bitwise the scalar dies'.
         engine = self._engine()
         seeds = np.random.SeedSequence(77).spawn(6)
         population = sample_device_population(engine.deck, seeds)
@@ -228,22 +257,43 @@ class TestMonteCarloEngineBitIdentity:
 
 class TestExperimentEngineBitIdentity:
     def test_full_synthetic_experiment(self):
-        loop = generate_experiment_data(
-            small_platform(n_chips=8, n_monte_carlo=20, engine="loop")
+        # Rebuild generate_experiment_data's streams and measure every
+        # device through the scalar reference.
+        config = small_platform(n_chips=8, n_monte_carlo=20)
+        data = generate_experiment_data(config)
+        rng_campaign, rng_mc, rng_foundry, rng_bench = spawn_children(config.seed, 4)
+        campaign = FingerprintCampaign.random_stimuli(
+            nm=config.nm, seed=rng_campaign, noisy_bench=False
         )
-        batched = generate_experiment_data(
-            small_platform(n_chips=8, n_monte_carlo=20, engine="batched")
+        deck = build_deck(config)
+        sim_pcms, sim_fingerprints = _reference_monte_carlo(
+            MonteCarloEngine(deck, campaign, numerical_noise=config.sim_noise),
+            config.n_monte_carlo, rng_mc,
         )
-        np.testing.assert_array_equal(batched.sim_pcms, loop.sim_pcms)
+        bench = campaign.silicon_bench(seed=rng_bench, pcm_noise=config.pcm_noise)
+        dies = build_foundry(config, deck, seed=rng_foundry).fabricate(
+            config.n_chips, n_lots=config.n_lots
+        )
+        devices = []
+        for trojan, version in (
+            (None, "TF"),
+            (AmplitudeModulationTrojan(depth=config.trojan1_depth), "T1"),
+            (FrequencyModulationTrojan(depth=config.trojan2_depth), "T2"),
+        ):
+            devices.extend(_reference_population(bench, dies, trojan, version))
+
+        np.testing.assert_array_equal(data.sim_pcms, sim_pcms)
+        np.testing.assert_array_equal(data.sim_fingerprints, sim_fingerprints)
         np.testing.assert_array_equal(
-            batched.sim_fingerprints, loop.sim_fingerprints
+            data.dutt_pcms, np.vstack([d.pcms for d in devices])
         )
-        np.testing.assert_array_equal(batched.dutt_pcms, loop.dutt_pcms)
         np.testing.assert_array_equal(
-            batched.dutt_fingerprints, loop.dutt_fingerprints
+            data.dutt_fingerprints, np.vstack([d.fingerprint for d in devices])
         )
-        np.testing.assert_array_equal(batched.infested, loop.infested)
-        assert batched.trojan_names == loop.trojan_names
+        np.testing.assert_array_equal(
+            data.infested, np.array([d.infested for d in devices])
+        )
+        assert data.trojan_names == [d.trojan_name for d in devices]
 
 
 class TestDiePopulation:
