@@ -94,17 +94,19 @@ class GoldenChipFreeDetector:
         parts.update(extra)
         return parts
 
-    def _cached(self, stage, parts, compute, stochastic=True):
+    def _cached(self, stage, parts, compute, stochastic=True, version=1):
         """Route one stage through the artifact cache.
 
         Stochastic stages consume a child stream of the master seed; with no
         seed their output is not addressable, so they always recompute.
+        ``version`` is the stage's code-version salt: bump it when the
+        stage's algorithm changes its output.
         """
         if stochastic:
             if self.config.seed is None:
                 return compute()
             parts = {**parts, "seed": self.config.seed}
-        return artifact_cache.stage_cached(stage, parts, compute)
+        return artifact_cache.stage_cached(stage, parts, compute, version=version)
 
     # ------------------------------------------------------------------
     # stage 1: pre-manufacturing
@@ -187,6 +189,9 @@ class GoldenChipFreeDetector:
                         self.regressions_, self._sim_pcms, dutt_pcms,
                         self.config, rng=self._rngs[1],
                     ),
+                    # Version 2: KMM weights come from the exact active-set
+                    # solver; entries written with SLSQP weights must miss.
+                    version=2,
                 )
             with span("dataset.build", dataset="S5"):
                 self.datasets.sets["S5"] = self._cached(

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.validation import check_2d, check_probability
 
@@ -49,6 +48,9 @@ class EllipticEnvelope:
 
     def fit(self, data) -> "EllipticEnvelope":
         """Estimate the envelope from an inlier sample."""
+        # scipy costs ~1 s to import and only this quantile needs it.
+        from scipy import stats
+
         data = check_2d(data, "data")
         n, d = data.shape
         self.mean_ = data.mean(axis=0)

@@ -50,6 +50,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm on, the
+    # body waits for the client's delayed ACK (~40 ms per keep-alive
+    # request).  TCP_NODELAY sends it at once.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # plumbing

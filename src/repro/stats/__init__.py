@@ -1,7 +1,8 @@
 """Statistical substrate: kernels, QP, KMM, KDE, PCA and preprocessing.
 
-Everything here is implemented from first principles on numpy/scipy — the
-environment has no scikit-learn — and each algorithm corresponds to a method
+Everything here is implemented from first principles on numpy — the
+environment has no scikit-learn, and scipy is imported only inside the GPD
+tail enhancer the ablations use — and each algorithm corresponds to a method
 named in the paper: kernel mean matching (Section 2.4), adaptive
 Epanechnikov KDE tail modeling (Section 2.5), PCA (Section 3.2) and the
 preprocessing the boundary learner relies on.

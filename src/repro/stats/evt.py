@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.stats.preprocessing import Whitener
 from repro.utils.rng import SeedLike, as_generator
@@ -73,6 +72,10 @@ class GpdTailEnhancer:
         self.threshold_ = float(np.quantile(radii, self.threshold_quantile))
         exceedances = radii[radii > self.threshold_] - self.threshold_
         if exceedances.size >= 5 and exceedances.max() > 0:
+            # scipy is imported only where a GPD is fitted or drawn (the
+            # ablations), not by importing the package.
+            from scipy import stats
+
             shape, _, scale = stats.genpareto.fit(exceedances, floc=0.0)
             self.gpd_shape_ = float(np.clip(shape, -0.9, self.shape_cap))
             self.gpd_scale_ = float(max(scale, 1e-12))
@@ -108,6 +111,8 @@ class GpdTailEnhancer:
         tail_mask = gen.random(size) > self.threshold_quantile
         n_tail = int(tail_mask.sum())
         if n_tail:
+            from scipy import stats
+
             exceedances = stats.genpareto.rvs(
                 self.gpd_shape_, loc=0.0, scale=self.gpd_scale_,
                 size=n_tail, random_state=gen,
@@ -118,6 +123,8 @@ class GpdTailEnhancer:
 
     def tail_quantile(self, probability: float) -> float:
         """Radius (whitened units) exceeded with the given tail probability."""
+        from scipy import stats
+
         self._check_fitted()
         check_in_range(probability, 0.0, 1.0 - self.threshold_quantile, "probability")
         conditional = probability / (1.0 - self.threshold_quantile)

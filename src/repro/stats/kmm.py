@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.obs import get_logger
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.stats.kernels import (
@@ -30,6 +31,12 @@ from repro.stats.kernels import (
 from repro.stats.qp import solve_qp
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_2d
+
+_log = get_logger("kmm")
+
+#: A KKT residual above this marks weights that are not a certified optimum
+#: (a converged solve lands at rounding level, ~1e-14 on KMM problems).
+KKT_WARN_THRESHOLD = 1e-8
 
 
 class KmmProblem:
@@ -68,31 +75,18 @@ class KmmProblem:
         return rbf_from_sq_dists(self.sq_dists_.copy(), gamma)
 
     def sweep(self, gammas: Sequence[float], B: float = 1000.0,
-              eps: Optional[float] = None,
-              warm_start: bool = True) -> List["KernelMeanMatcher"]:
+              eps: Optional[float] = None) -> List["KernelMeanMatcher"]:
         """Fit one matcher per candidate bandwidth, reusing the distances.
 
         Returns the fitted matchers in ``gammas`` order; compare their
         ``rkhs_residual_`` / :meth:`KernelMeanMatcher.effective_sample_size`
-        to choose a bandwidth.
-
-        With ``warm_start=True`` (default) each QP after the first starts
-        from the previous bandwidth's converged weights rather than from the
-        feasible midpoint: neighbouring bandwidths have nearby optima, so
-        SLSQP converges in far fewer iterations.  The solver runs to the
-        same ``ftol`` either way, so warm and cold sweeps agree to solver
-        tolerance (asserted in the test suite); ``warm_start=False`` keeps
-        the bit-exact cold-start reference.
+        to choose a bandwidth.  Each arm is bitwise identical to a one-shot
+        :meth:`KernelMeanMatcher.fit` at that gamma.
         """
-        matchers: List[KernelMeanMatcher] = []
-        x0 = None
-        for g in gammas:
-            matcher = KernelMeanMatcher(B=B, eps=eps, gamma=float(g))
-            matcher.fit_problem(self, x0=x0)
-            matchers.append(matcher)
-            if warm_start and matcher.converged_:
-                x0 = matcher.weights_
-        return matchers
+        return [
+            KernelMeanMatcher(B=B, eps=eps, gamma=float(g)).fit_problem(self)
+            for g in gammas
+        ]
 
 
 class KernelMeanMatcher:
@@ -125,6 +119,7 @@ class KernelMeanMatcher:
         self.converged_: bool = False
         self.rkhs_residual_: Optional[float] = None
         self.qp_iterations_: int = 0
+        self.kkt_residual_: Optional[float] = None
 
     def fit(self, train, test) -> "KernelMeanMatcher":
         """Compute importance weights for ``train`` so it matches ``test``.
@@ -137,13 +132,12 @@ class KernelMeanMatcher:
         """
         return self.fit_problem(KmmProblem(train, test))
 
-    def fit_problem(self, problem: KmmProblem,
-                    x0: Optional[np.ndarray] = None) -> "KernelMeanMatcher":
+    def fit_problem(self, problem: KmmProblem) -> "KernelMeanMatcher":
         """Fit on a prebuilt :class:`KmmProblem` (distances already pooled).
 
-        ``x0`` optionally warm-starts the QP (e.g. from a neighbouring
-        bandwidth's weights); ``None`` keeps the cold start from the
-        feasible midpoint ``beta = 1``.
+        The weights are the unique minimizer of the ridge-regularized QP,
+        solved exactly by :func:`repro.stats.qp.solve_qp`; ``kkt_residual_``
+        certifies them (at most :data:`KKT_WARN_THRESHOLD` when healthy).
         """
         n_tr = problem.n_train
         n_te = problem.n_test
@@ -166,24 +160,19 @@ class KernelMeanMatcher:
             if eps is None:
                 eps = (np.sqrt(n_tr) - 1.0) / np.sqrt(n_tr)
 
-            # | mean(beta) - 1 | <= eps  as two inequality rows.
-            ones = np.ones((1, n_tr)) / n_tr
-            G = np.vstack([ones, -ones])
-            h = np.array([1.0 + eps, -(1.0 - eps)])
-
+            # | mean(beta) - 1 | <= eps  as one bounded sum row.
             result = solve_qp(
                 P=K,
                 q=-kappa,
                 lb=0.0,
                 ub=self.B,
-                G=G,
-                h=h,
-                x0=np.ones(n_tr) if x0 is None else np.asarray(x0, dtype=float),
-                max_iterations=500,
+                sum_lb=n_tr * (1.0 - eps),
+                sum_ub=n_tr * (1.0 + eps),
             )
-            self.weights_ = np.clip(result.x, 0.0, self.B)
+            self.weights_ = result.x
             self.converged_ = result.converged
             self.qp_iterations_ = int(result.iterations)
+            self.kkt_residual_ = result.kkt_residual
             self.effective_gamma_ = float(gamma)
             # The achieved RKHS mean discrepancy (the quantity KMM minimizes):
             # ||(1/n_tr) sum beta_i phi(x_i) - (1/n_te) sum phi(x_j)||.  The QP
@@ -196,8 +185,16 @@ class KernelMeanMatcher:
             self.rkhs_residual_ = float(np.sqrt(max(0.0, residual_sq)))
             fit_span.set(converged=result.converged, gamma=self.effective_gamma_,
                          residual=self.rkhs_residual_,
-                         qp_iterations=self.qp_iterations_)
+                         qp_iterations=self.qp_iterations_,
+                         kkt_residual=self.kkt_residual_)
+        if not self.converged_ or self.kkt_residual_ > KKT_WARN_THRESHOLD:
+            _log.warning(
+                "KMM weights not certified optimal: converged=%s after %d "
+                "iterations, KKT residual %.3g (threshold %g)", self.converged_,
+                self.qp_iterations_, self.kkt_residual_, KKT_WARN_THRESHOLD,
+            )
         obs_metrics.gauge("kmm.converged").set(1.0 if self.converged_ else 0.0)
+        obs_metrics.histogram("kmm.kkt_residual").observe(self.kkt_residual_)
         obs_metrics.histogram("kmm.rkhs_residual").observe(self.rkhs_residual_)
         obs_metrics.histogram("kmm.effective_sample_size").observe(
             self.effective_sample_size()

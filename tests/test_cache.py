@@ -337,6 +337,54 @@ class TestPipelineIntegration:
         assert "stages" in session
 
 
+class TestStageVersions:
+    def test_kmm_shift_entry_written_under_version_1_is_not_hit(
+            self, tmp_path, monkeypatch):
+        """S4 entries from the SLSQP solver (stage version 1) must miss."""
+        from repro.core.config import DetectorConfig
+        from repro.core.pipeline import GoldenChipFreeDetector
+        from repro.experiments.platformcfg import PlatformConfig, generate_experiment_data
+
+        data = generate_experiment_data(
+            PlatformConfig(n_chips=10, n_monte_carlo=30, seed=7)
+        )
+
+        def fit():
+            detector = GoldenChipFreeDetector(DetectorConfig(kde_samples=3000, seed=11))
+            detector.fit_premanufacturing(data.sim_pcms, data.sim_fingerprints)
+            return detector.fit_silicon(data.dutt_pcms)
+
+        calls = []
+        real_stage_cached = artifact_cache.stage_cached
+
+        def spy(stage, parts, compute, version=1):
+            calls.append((stage, parts, version))
+            return real_stage_cached(stage, parts, compute, version=version)
+
+        monkeypatch.setattr(artifact_cache, "stage_cached", spy)
+        with artifact_cache.activated(None):
+            reference = fit()
+        (parts, version), = [(p, v) for s, p, v in calls if s == "kmm_shift"]
+        assert version == 2
+
+        # Plant a poisoned S4 under the same parts at version 1.
+        root = str(tmp_path / "cache")
+        poison = np.full_like(reference.datasets["S4"], 123.0)
+        ArtifactCache(root).get_or_compute("kmm_shift", parts, lambda: poison,
+                                           version=1)
+        planted = ArtifactCache(root).get_or_compute(
+            "kmm_shift", parts, lambda: pytest.fail("entry not planted"), version=1
+        )
+        np.testing.assert_array_equal(planted, poison)
+
+        cache = ArtifactCache(root)
+        with artifact_cache.activated(cache):
+            detector = fit()
+        counts = cache.session.per_stage["kmm_shift"]
+        assert (counts.hits, counts.misses) == (0, 1)
+        np.testing.assert_array_equal(detector.datasets["S4"], reference.datasets["S4"])
+
+
 class TestModuleConfiguration:
     def test_stage_cached_pass_through_when_off(self):
         with artifact_cache.activated(None):

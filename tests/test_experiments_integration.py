@@ -18,11 +18,13 @@ def table1_result(full_experiment_data):
 
 
 #: Exact (FN, FP) per boundary B1..B5 at CLI defaults (M' = 30 000), per
-#: platform seed.  Seed 16 is the display seed; seed 4 is one where KMM
-#: does not converge, recorded as is so any numeric drift shows up here.
+#: platform seed.  Seed 16 is the display seed; seed 4 is one where the
+#: SLSQP solver stopped unconverged.  The exact active-set KMM solver
+#: reaches a lower objective there, which moved FP(B5) from 1 to 0
+#: (EXPERIMENTS.md records the change); any further drift shows up here.
 PINNED_ROWS = {
     16: ((40, 37, 40, 40, 4), (0, 0, 0, 0, 0)),
-    4: ((6, 0, 40, 40, 0), (0, 1, 0, 0, 1)),
+    4: ((6, 0, 40, 40, 0), (0, 1, 0, 0, 0)),
 }
 
 

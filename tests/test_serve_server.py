@@ -97,6 +97,38 @@ class TestScoring:
             assert np.array_equal(result.verdicts[name],
                                   expected[name] >= 0.0), name
 
+    def test_keep_alive_connection_serves_sequential_requests(
+            self, server, fitted_detector, experiment_data):
+        """Five requests on one HTTP/1.1 connection, each scored correctly."""
+        import http.client
+
+        from repro.serve.server import _Handler
+
+        assert _Handler.disable_nagle_algorithm is True
+        fingerprints = experiment_data.dutt_fingerprints
+        expected = fitted_detector.decision_scores_batch(fingerprints)
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=30.0)
+        try:
+            for i in range(5):
+                rows = slice(4 * i, 4 * i + 4)
+                connection.request(
+                    "POST", "/v1/score",
+                    body=json.dumps({"fingerprints": fingerprints[rows].tolist()}),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                reply = json.loads(response.read().decode("utf-8"))
+                for name in BOUNDARY_NAMES:
+                    # A 4-row batch may differ from the 120-row one in the
+                    # last ULP (BLAS blocking), hence allclose.
+                    np.testing.assert_allclose(
+                        reply["boundaries"][name]["scores"], expected[name][rows],
+                        rtol=1e-9, atol=1e-12)
+        finally:
+            connection.close()
+
     def test_boundary_subset(self, client, experiment_data):
         result = client.score(experiment_data.dutt_fingerprints[:2],
                               boundaries=["B3", "B5"])

@@ -1,9 +1,12 @@
 """Kernel mean matching and importance resampling."""
 
+import logging
+
 import numpy as np
 import pytest
 
-from repro.stats.kmm import KernelMeanMatcher, importance_resample
+from repro.stats import qp
+from repro.stats.kmm import KKT_WARN_THRESHOLD, KernelMeanMatcher, importance_resample
 
 
 @pytest.fixture()
@@ -63,6 +66,52 @@ class TestKmm:
         assert matcher.effective_gamma_ == 0.7
 
 
+class TestSolverCertificate:
+    def test_fit_records_kkt_residual_in_span_and_metrics(self, shifted_data):
+        from repro import obs
+
+        train, test = shifted_data
+        obs.enable()
+        try:
+            matcher = KernelMeanMatcher(B=10.0).fit(train, test)
+        finally:
+            spans, snapshot = obs.disable()
+        assert matcher.converged_
+        assert 0.0 <= matcher.kkt_residual_ <= KKT_WARN_THRESHOLD
+        (fit_span,) = [s for s in spans if s.name == "kmm.fit"]
+        assert fit_span.attributes["kkt_residual"] == matcher.kkt_residual_
+        histogram = snapshot["histograms"]["kmm.kkt_residual"]
+        assert histogram["count"] == 1
+        assert histogram["max"] == matcher.kkt_residual_
+
+    def test_iteration_cap_logs_a_warning(self, shifted_data, monkeypatch, caplog):
+        train, test = shifted_data
+        monkeypatch.setattr(qp, "MAX_ITERATIONS", 2)
+        # The package logger may not propagate (CLI logging setup), so
+        # listen on the module's logger directly.
+        logger = logging.getLogger("repro.kmm")
+        logger.addHandler(caplog.handler)
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.kmm"):
+                matcher = KernelMeanMatcher(B=10.0).fit(train, test)
+        finally:
+            logger.removeHandler(caplog.handler)
+        assert not matcher.converged_
+        assert matcher.qp_iterations_ == 2
+        assert any("not certified optimal" in r.getMessage() for r in caplog.records)
+
+    def test_converged_fit_logs_nothing(self, shifted_data, caplog):
+        train, test = shifted_data
+        logger = logging.getLogger("repro.kmm")
+        logger.addHandler(caplog.handler)
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.kmm"):
+                KernelMeanMatcher(B=10.0).fit(train, test)
+        finally:
+            logger.removeHandler(caplog.handler)
+        assert not caplog.records
+
+
 class TestImportanceResample:
     def test_shape_and_membership(self, shifted_data):
         train, _ = shifted_data
@@ -116,10 +165,7 @@ class TestKmmProblem:
         problem = KmmProblem(train, test)
         before = problem.sq_dists_.copy()
         base = problem.median_gamma()
-        # warm_start=False keeps every arm bit-identical to a one-shot fit;
-        # the warm-started default is covered by TestSweepWarmStart.
-        matchers = problem.sweep([0.5 * base, base, 2.0 * base], B=10.0,
-                                 warm_start=False)
+        matchers = problem.sweep([0.5 * base, base, 2.0 * base], B=10.0)
         # The pooled distances are pristine after a sweep (kernels use copies).
         np.testing.assert_array_equal(problem.sq_dists_, before)
         assert [m.effective_gamma_ for m in matchers] == [
@@ -131,28 +177,6 @@ class TestKmmProblem:
                 B=10.0, gamma=matcher.effective_gamma_
             ).fit(train, test)
             np.testing.assert_array_equal(matcher.weights, direct.weights)
-
-    def test_warm_start_matches_cold_within_solver_tolerance(self):
-        from repro.stats.kmm import KmmProblem
-
-        # Small enough that every arm converges within the iteration budget
-        # (warm starts only chain from converged solutions).
-        rng = np.random.default_rng(0)
-        train = rng.normal(size=(60, 2))
-        test = rng.normal(loc=0.3, size=(50, 2))
-        problem = KmmProblem(train, test)
-        base = problem.median_gamma()
-        gammas = [base, 2.0 * base, 4.0 * base]
-        cold = problem.sweep(gammas, B=10.0, warm_start=False)
-        warm = problem.sweep(gammas, B=10.0, warm_start=True)
-        for c, w in zip(cold, warm):
-            assert c.converged_ and w.converged_
-            # Same strictly convex QP solved to the same ftol from two
-            # starting points: converged weights agree to solver tolerance.
-            np.testing.assert_allclose(w.weights, c.weights, atol=5e-3)
-            assert abs(w.rkhs_residual_ - c.rkhs_residual_) < 1e-9
-        # The first arm has no warm start yet and is bit-identical.
-        np.testing.assert_array_equal(warm[0].weights, cold[0].weights)
 
     def test_fit_problem_records_qp_iterations(self, shifted_data):
         from repro.stats.kmm import KmmProblem
